@@ -41,7 +41,6 @@ func All() []*analysis.Analyzer {
 var simulationPkgs = map[string]bool{
 	"gearbox":                       true,
 	"gearbox/internal/gearbox":      true,
-	"gearbox/internal/sim":          true,
 	"gearbox/internal/apps":         true,
 	"gearbox/internal/multistack":   true,
 	"gearbox/internal/fulcrum":      true,

@@ -21,7 +21,6 @@ import (
 	"gearbox/internal/par"
 	"gearbox/internal/partition"
 	"gearbox/internal/semiring"
-	"gearbox/internal/sim"
 	"gearbox/internal/telemetry"
 )
 
@@ -141,8 +140,12 @@ type Machine struct {
 	sem  semiring.Semiring
 	cfg  Config
 	net  *interconnect.Network
-	eng  *sim.Engine
 	pool *par.Pool
+
+	// nowNs is the simulated clock: the sum of every step time played so
+	// far. trace, when set, sees each step's name and completion time.
+	nowNs float64
+	trace func(name string, atNs float64)
 
 	clean  float32
 	output []float32 // dense output vector, relabeled index space
@@ -323,7 +326,6 @@ func New(plan *partition.Plan, sem semiring.Semiring, cfg Config) (*Machine, err
 		sem:        sem,
 		cfg:        cfg,
 		net:        net,
-		eng:        sim.New(),
 		pool:       par.New(cfg.Workers),
 		clean:      sem.Zero(),
 		output:     make([]float32, n),
@@ -424,7 +426,7 @@ type ApplySpec struct {
 	Y     []float32
 }
 
-// stepNames are the §5 phase names on the engine's trace timeline, in order.
+// stepNames are the §5 phase names on the machine's trace timeline, in order.
 var stepNames = [6]string{
 	"step1-frontier-distribution",
 	"step2-offset-packing",
@@ -460,15 +462,13 @@ func (m *Machine) Iterate(f *Frontier, opts IterateOptions) (*Frontier, IterStat
 
 	// Iteration state lives on the machine (not locals captured by closures)
 	// so the pre-bound worker bodies can reach it and the hot path stays
-	// allocation-free. The six §5 steps each compute functionally, then play
-	// their duration as one engine event, so the clock advances through the
-	// iteration and trace subscribers see the same phase timeline the old
-	// event-chain produced.
+	// allocation-free. The six §5 steps run back to back: each computes
+	// functionally, then advances the clock by its analytic time.
 	m.iterSt = IterStats{}
 	st := &m.iterSt
 	m.curF, m.curApply, m.curNext = f, opts.Apply, nil
 	if m.tel != nil {
-		m.tel.BeginIteration(m.iterCount, m.eng.Now(), int64(f.NNZ()))
+		m.tel.BeginIteration(m.iterCount, m.nowNs, int64(f.NNZ()))
 	}
 	for i := 0; i < 6; i++ {
 		switch i {
@@ -485,8 +485,7 @@ func (m *Machine) Iterate(f *Frontier, opts IterateOptions) (*Frontier, IterStat
 		case 5:
 			m.curNext = m.step6Applying(opts, st)
 		}
-		m.eng.After(st.Steps[i].TimeNs, stepNames[i], nil)
-		m.eng.Run()
+		m.advance(i, st.Steps[i].TimeNs)
 		if m.tel != nil {
 			m.stepTelemetry(i + 1)
 		}
@@ -496,15 +495,30 @@ func (m *Machine) Iterate(f *Frontier, opts IterateOptions) (*Frontier, IterStat
 	next := m.curNext
 	out := m.iterSt
 	if m.tel != nil {
-		m.tel.EndIteration(m.eng.Now(), out.FrontierOut)
+		m.tel.EndIteration(m.nowNs, out.FrontierOut)
 	}
 	m.curF, m.curApply, m.curNext = nil, nil, nil
 	return next, out, nil
 }
 
-// SetTrace subscribes to the engine's phase timeline: fn receives each step
+// advance plays step i (0-based) on the simulated clock. A negative or
+// non-finite step time can only come from a modelling bug and would corrupt
+// every later timestamp, so it panics naming the step.
+//
+//gearbox:steadystate
+func (m *Machine) advance(i int, timeNs float64) {
+	if timeNs < 0 || math.IsNaN(timeNs) || math.IsInf(timeNs, 0) {
+		panic(fmt.Sprintf("gearbox: %s took %v ns", stepNames[i], timeNs)) //gearbox:alloc-ok cold path: feeds a panic
+	}
+	m.nowNs += timeNs
+	if m.trace != nil {
+		m.trace(stepNames[i], m.nowNs)
+	}
+}
+
+// SetTrace subscribes to the machine's phase timeline: fn receives each step
 // name and its completion time on the simulated clock.
-func (m *Machine) SetTrace(fn func(name string, atNs float64)) { m.eng.Trace = fn }
+func (m *Machine) SetTrace(fn func(name string, atNs float64)) { m.trace = fn }
 
 // SetTelemetry attaches a spatial telemetry sink (nil detaches). The sink
 // receives per-SPU, per-link and per-bank counters after every step; see
@@ -537,7 +551,7 @@ func (m *Machine) Pool() *par.Pool { return m.pool }
 // its worker pool. Passing a non-nil semiring also swaps the algebra (the
 // clean value follows it), letting one machine serve apps over different
 // semirings. After the reset the machine is observationally identical to a
-// freshly built one: the engine clock is back at zero, the output vector,
+// freshly built one: the simulated clock is back at zero, the output vector,
 // long-region accumulator and every replica hold the clean value, the
 // error-injection streams are re-seeded to their initial states and the flip
 // counters are zero, the interconnect counters are clear, iteration
@@ -556,7 +570,8 @@ func (m *Machine) ResetForRun(sem semiring.Semiring) {
 	}
 	m.clean = m.sem.Zero()
 
-	m.eng.Reset()
+	m.nowNs = 0
+	m.trace = nil
 	m.net.Reset()
 	m.tel = nil
 
@@ -588,14 +603,14 @@ func (m *Machine) ResetForRun(sem semiring.Semiring) {
 }
 
 // stepTelemetry feeds the sink after step (1-based) has played on the
-// engine clock. It runs between steps, so the per-step state it reads —
+// simulated clock. It runs between steps, so the per-step state it reads —
 // m.busy, the interconnect's per-link counters (reset at the start of each
 // network-touching step), the dispatcher accounting arrays — still holds
 // exactly what the step left behind.
 //
 //gearbox:steadystate
 func (m *Machine) stepTelemetry(step int) {
-	now := m.eng.Now()
+	now := m.nowNs
 	switch step {
 	case 1:
 		m.tel.LinkWords(1, now, m.net.RingSegmentWords(), m.net.TSVVaultWords())
@@ -619,7 +634,7 @@ func (m *Machine) stepTelemetry(step int) {
 
 // NowNs reports the machine's simulated clock (sum of all step times run so
 // far).
-func (m *Machine) NowNs() float64 { return m.eng.Now() }
+func (m *Machine) NowNs() float64 { return m.nowNs }
 
 // Output returns a copy of the current dense output vector. Only meaningful
 // between step 5 and the reset in step 6, so primarily for tests; apps use

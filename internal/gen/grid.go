@@ -69,16 +69,3 @@ func Grid(cfg GridConfig) (*sparse.CSC, error) {
 	}
 	return sparse.CSCFromCOO(coo), nil
 }
-
-// Uniform generates an Erdős–Rényi-style matrix with avgDeg non-zeros per
-// column on average. It is used by tests and by the regular-kernel suite
-// where no skew is wanted.
-func Uniform(n int32, avgDeg float64, seed int64) *sparse.CSC {
-	rng := rand.New(rand.NewSource(seed))
-	coo := sparse.NewCOO(n, n)
-	target := int(float64(n) * avgDeg)
-	for i := 0; i < target; i++ {
-		coo.Add(rng.Int31n(n), rng.Int31n(n), 1+float32(rng.Intn(9)))
-	}
-	return sparse.CSCFromCOO(coo)
-}

@@ -534,9 +534,9 @@ func (s *Server) worker() {
 			s.met.canceled.Inc()
 			j.err = fmt.Errorf("%w: %v", ErrCanceled, err)
 			j.events <- Event{Event: "canceled", ID: j.ID, RunID: j.RunID, Tenant: j.req.Tenant, Error: j.err.Error()}
+			s.finish(j, "canceled", 0)
 			close(j.events)
 			close(j.done)
-			s.finish(j, "canceled", 0)
 			continue
 		}
 		s.met.queueWait.Observe(wait.Seconds())
@@ -565,9 +565,11 @@ func (s *Server) worker() {
 			j.res = res
 			j.events <- Event{Event: "result", ID: j.ID, RunID: j.RunID, Tenant: j.req.Tenant, Result: res}
 		}
+		// Record before closing: a caller that saw its stream end must find
+		// the run in Stats.
+		s.finish(j, status, wall)
 		close(j.events)
 		close(j.done)
-		s.finish(j, status, wall)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package sparse implements the sparse-matrix formats used throughout the
-// Gearbox reproduction: coordinate lists (COO), compressed sparse rows (CSR),
-// compressed sparse columns (CSC), and the paired CSC_Pair layout from Fig. 4
-// of the paper. It also provides the column/row statistics (Fig. 5) and the
-// long-column/long-row reordering that Hybrid partitioning relies on (§3.2).
+// Gearbox reproduction: coordinate lists (COO) and compressed sparse columns
+// (CSC, Fig. 4 of the paper). It also provides the column/row statistics
+// (Fig. 5), the top-fraction selection of long columns/rows (§3.2), and the
+// symmetric vertex permutations Hybrid partitioning applies.
 //
 // Values are float32 to match the 4-byte memory words of the simulated stack
 // (256-byte rows hold 64 words; row address = index>>6, column = index&63).
@@ -74,16 +74,6 @@ func (m *COO) CoalesceWorkers(workers int) *COO {
 	colStart := sortByColRow(m.Entries, scratch, m.NumRows, m.NumCols, pool)
 	m.Entries = dedupSortedParallel(m.Entries, scratch, colStart, pool)
 	return m
-}
-
-// Transpose returns a new COO with rows and columns swapped.
-func (m *COO) Transpose() *COO {
-	t := NewCOO(m.NumCols, m.NumRows)
-	t.Entries = make([]Entry, len(m.Entries))
-	for i, e := range m.Entries {
-		t.Entries[i] = Entry{Row: e.Col, Col: e.Row, Val: e.Val}
-	}
-	return t
 }
 
 // Clone returns a deep copy.

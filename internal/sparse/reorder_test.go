@@ -21,78 +21,22 @@ func TestIdentityPermutation(t *testing.T) {
 	}
 }
 
-func TestReorderLongFirstMovesLongVertices(t *testing.T) {
-	// Build a matrix where vertex 7 has a very long column and vertex 3 a
-	// very long row; both must land in the long region.
-	m := NewCOO(16, 16)
-	for r := int32(0); r < 16; r++ {
-		m.Add(r, 7, 1) // long column 7
+// randomPermutation is a seeded uniform relabeling of n vertices.
+func randomPermutation(rng *rand.Rand, n int32) *Permutation {
+	p := &Permutation{New: make([]int32, n), Old: make([]int32, n)}
+	for nw, old := range rng.Perm(int(n)) {
+		p.Old[nw], p.New[old] = int32(old), int32(nw)
 	}
-	for c := int32(0); c < 16; c++ {
-		m.Add(3, c, 1) // long row 3
-	}
-	m.Add(5, 5, 1)
-	csc := CSCFromCOO(m)
-	res, err := ReorderLongFirst(csc, 0.05, 42) // top 5% of 16 = 1 column + 1 row
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumLongCols != 1 || res.NumLongRows != 1 {
-		t.Fatalf("long cols=%d rows=%d, want 1/1", res.NumLongCols, res.NumLongRows)
-	}
-	if res.LastLong != 1 { // union {7, 3} occupies new indices 0 and 1
-		t.Fatalf("LastLong = %d, want 1", res.LastLong)
-	}
-	if n7, n3 := res.Perm.New[7], res.Perm.New[3]; n7 > res.LastLong || n3 > res.LastLong {
-		t.Fatalf("long vertices relabeled to %d and %d, beyond LastLong=%d", n7, n3, res.LastLong)
-	}
-	if err := res.Perm.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// The long column keeps its length after relabeling.
-	if got := res.Matrix.ColLen(res.Perm.New[7]); got != 16 {
-		t.Fatalf("relabeled long column length = %d, want 16", got)
-	}
-}
-
-func TestReorderLongFirstZeroFractionStillShuffles(t *testing.T) {
-	c := squareRandom(rand.New(rand.NewSource(9)), 64, 256)
-	res, err := ReorderLongFirst(c, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LastLong != -1 {
-		t.Fatalf("LastLong = %d, want -1 with no long vertices", res.LastLong)
-	}
-	moved := 0
-	for v, nw := range res.Perm.New {
-		if int32(v) != nw {
-			moved++
-		}
-	}
-	if moved == 0 {
-		t.Fatal("shuffle left every vertex in place (seed must randomize)")
-	}
-}
-
-func TestReorderRejectsRectangular(t *testing.T) {
-	c := CSCFromCOO(randomCOO(rand.New(rand.NewSource(2)), 4, 6, 10))
-	if _, err := ReorderLongFirst(c, 0.01, 0); err == nil {
-		t.Fatal("rectangular matrix accepted")
-	}
+	return p
 }
 
 func TestPermuteUnpermuteVector(t *testing.T) {
-	c := squareRandom(rand.New(rand.NewSource(11)), 32, 64)
-	res, err := ReorderLongFirst(c, 0.05, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	perm := randomPermutation(rand.New(rand.NewSource(11)), 32)
 	v := make([]float32, 32)
 	for i := range v {
 		v[i] = float32(i) * 1.5
 	}
-	round := UnpermuteVector(PermuteVector(v, res.Perm), res.Perm)
+	round := UnpermuteVector(PermuteVector(v, perm), perm)
 	for i := range v {
 		if round[i] != v[i] {
 			t.Fatalf("round-trip[%d] = %v, want %v", i, round[i], v[i])
@@ -108,13 +52,11 @@ func TestQuickReorderPreservesSpMV(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Int31n(24)
 		c := squareRandom(rng, n, rng.Intn(int(n)*3))
-		res, err := ReorderLongFirst(c, 0.1, seed)
-		if err != nil {
+		perm := randomPermutation(rng, n)
+		if perm.Validate() != nil {
 			return false
 		}
-		if res.Perm.Validate() != nil {
-			return false
-		}
+		relabeled := ApplyPermutation(c, perm)
 		x := make([]float32, n)
 		for i := range x {
 			x[i] = float32(rng.Intn(5))
@@ -122,8 +64,8 @@ func TestQuickReorderPreservesSpMV(t *testing.T) {
 		// y = M x computed on the original labeling.
 		y := denseSpMV(c, x)
 		// y' = M' x' on the relabeled matrix, then unpermute.
-		yp := denseSpMV(res.Matrix, PermuteVector(x, res.Perm))
-		back := UnpermuteVector(yp, res.Perm)
+		yp := denseSpMV(relabeled, PermuteVector(x, perm))
+		back := UnpermuteVector(yp, perm)
 		for i := range y {
 			if y[i] != back[i] {
 				return false
@@ -153,18 +95,25 @@ func TestQuickPermutationBijective(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Int31n(64)
 		c := squareRandom(rng, n, rng.Intn(int(n)*2))
-		res, err := ReorderLongFirst(c, rng.Float64()*0.2, seed)
-		if err != nil {
-			return false
-		}
+		perm := randomPermutation(rng, n)
 		seen := make([]bool, n)
-		for _, nw := range res.Perm.New {
+		for _, nw := range perm.New {
 			if seen[nw] {
 				return false
 			}
 			seen[nw] = true
 		}
-		return res.Perm.Validate() == nil
+		if perm.Validate() != nil {
+			return false
+		}
+		// Relabeling moves every column whole: its length follows it.
+		relabeled := ApplyPermutation(c, perm)
+		for col := int32(0); col < n; col++ {
+			if relabeled.ColLen(perm.New[col]) != c.ColLen(col) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

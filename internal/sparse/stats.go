@@ -146,26 +146,6 @@ func RowLengthsWorkers(c *CSC, workers int) []int {
 	return lens
 }
 
-// PowerLawExponent estimates the exponent alpha of a discrete power-law fit
-// P(len) ~ len^-alpha over the column-length distribution, using the standard
-// maximum-likelihood estimator with len_min=1. It is used by tests to check
-// that the synthetic datasets are genuinely heavy-tailed.
-func PowerLawExponent(lens []int) float64 {
-	n := 0
-	sum := 0.0
-	for _, l := range lens {
-		if l < 1 {
-			continue
-		}
-		n++
-		sum += math.Log(float64(l) + 0.5) // +0.5: continuity correction for discrete MLE
-	}
-	if n == 0 || sum == 0 {
-		return 0
-	}
-	return 1 + float64(n)/sum
-}
-
 // TopFraction returns the indices of the ceil(frac*len(lens)) largest entries
 // of lens, ties broken by lower index. frac<=0 returns nil. This is the
 // "top X% of columns/rows are long" selection of §3.2.

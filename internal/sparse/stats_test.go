@@ -94,33 +94,6 @@ func TestTopFraction(t *testing.T) {
 	}
 }
 
-func TestPowerLawExponentRecoversKnownAlpha(t *testing.T) {
-	// Sample discrete power laws with known exponents via inverse-CDF on a
-	// continuous Pareto and rounding; the MLE must order them correctly and
-	// land near the truth.
-	sample := func(alpha float64, n int, seed int64) []int {
-		rng := rand.New(rand.NewSource(seed))
-		out := make([]int, n)
-		for i := range out {
-			u := rng.Float64()
-			x := math.Pow(1-u, -1/(alpha-1)) // Pareto with xmin=1
-			out[i] = int(x)
-			if out[i] < 1 {
-				out[i] = 1
-			}
-		}
-		return out
-	}
-	steep := PowerLawExponent(sample(3.0, 20000, 1))
-	flat := PowerLawExponent(sample(1.8, 20000, 2))
-	if !(flat < steep) {
-		t.Fatalf("estimator ordering wrong: alpha(1.8 sample)=%v, alpha(3.0 sample)=%v", flat, steep)
-	}
-	if math.Abs(steep-3.0) > 0.5 || math.Abs(flat-1.8) > 0.4 {
-		t.Fatalf("estimates too far from truth: got %v (want ~3.0) and %v (want ~1.8)", steep, flat)
-	}
-}
-
 func TestQuickHistogramSumsTo100(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

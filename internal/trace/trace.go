@@ -7,7 +7,6 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -121,27 +120,4 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	}{TraceEvents: r.events}
 	enc := json.NewEncoder(w)
 	return enc.Encode(doc)
-}
-
-// Summary renders a human-readable per-phase total over the "X" timeline
-// events, in first-seen order (metadata and counter samples carry no
-// duration and are skipped).
-func (r *Recorder) Summary(w io.Writer) error {
-	totals := map[string]float64{}
-	order := []string{}
-	for _, e := range r.events {
-		if e.Phase != "X" {
-			continue
-		}
-		if _, ok := totals[e.Name]; !ok {
-			order = append(order, e.Name)
-		}
-		totals[e.Name] += e.DurUs
-	}
-	for _, name := range order {
-		if _, err := fmt.Fprintf(w, "%-32s %10.2f us\n", name, totals[name]); err != nil {
-			return err
-		}
-	}
-	return nil
 }

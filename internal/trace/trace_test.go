@@ -133,33 +133,6 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSummaryOrderingStability pins the first-seen phase order: repeated
-// renders must be byte-identical, and only "X" events contribute.
-func TestSummaryOrderingStability(t *testing.T) {
-	r := goldenRecorder()
-	var first bytes.Buffer
-	if err := r.Summary(&first); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		var again bytes.Buffer
-		if err := r.Summary(&again); err != nil {
-			t.Fatal(err)
-		}
-		if again.String() != first.String() {
-			t.Fatalf("summary order unstable:\n%s\nvs\n%s", first.String(), again.String())
-		}
-	}
-	out := first.String()
-	i1, i2, i3 := strings.Index(out, "step1"), strings.Index(out, "step2"), strings.Index(out, "step3")
-	if i1 < 0 || i2 < 0 || i3 < 0 || !(i1 < i2 && i2 < i3) {
-		t.Fatalf("summary order not first-seen:\n%s", out)
-	}
-	if strings.Contains(out, "frontier-size") || strings.Contains(out, "process_name") {
-		t.Fatalf("summary must aggregate only the X timeline:\n%s", out)
-	}
-}
-
 // TestGoldenPerfettoFixture locks the serialized trace document against
 // testdata/golden_trace.json — a Perfetto-loadable fixture with complete,
 // counter and metadata events. Regenerate with -update after an intentional
@@ -188,25 +161,6 @@ func TestGoldenPerfettoFixture(t *testing.T) {
 		if !strings.Contains(buf.String(), ph) {
 			t.Fatalf("fixture lacks %s events", ph)
 		}
-	}
-}
-
-func TestSummaryAggregatesPerPhase(t *testing.T) {
-	r := New()
-	hook := r.Hook()
-	hook("stepA", 100)
-	hook("stepB", 300)
-	hook("stepA", 400)
-	var buf bytes.Buffer
-	if err := r.Summary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "stepA") || !strings.Contains(out, "stepB") {
-		t.Fatalf("summary missing phases:\n%s", out)
-	}
-	if strings.Count(out, "stepA") != 1 {
-		t.Fatal("summary must aggregate repeated phases")
 	}
 }
 
