@@ -157,6 +157,13 @@ type Machine struct {
 	logicAcc   []float32
 	logicDirty []int32
 
+	// longPos[c] is the position of long column c in the current frontier's
+	// Long list, or -1. Step 1 sets it when f.Long is strictly ascending
+	// (longAsc) and step 3 clears the touched slots; it is written only
+	// outside the worker regions.
+	longPos []int32
+	longAsc bool
+
 	// Per-SPU error-injection stream states (splitmix64) and flip counts.
 	// One stream per SPU keeps injection deterministic under any worker
 	// sharding: SPU k always draws the same sequence regardless of which
@@ -357,6 +364,10 @@ func New(plan *partition.Plan, sem semiring.Semiring, cfg Config) (*Machine, err
 		for i := range m.logicAcc {
 			m.logicAcc[i] = m.clean
 		}
+		m.longPos = make([]int32, plan.LastLong+1)
+		for i := range m.longPos {
+			m.longPos[i] = -1
+		}
 		if plan.Cfg.Replicate {
 			m.replicas = make([][]float32, plan.NumSPUs)
 		}
@@ -447,6 +458,15 @@ var stepNames = [6]string{
 //
 //gearbox:steadystate
 func (m *Machine) Iterate(f *Frontier, opts IterateOptions) (*Frontier, IterStats, error) {
+	return m.iterate(f, opts, true)
+}
+
+// iterate is Iterate with step 3's long-fragment lookup selectable: walk
+// false forces the caller-order path even for an ascending f.Long, so tests
+// can pin both paths bit-identical on the same frontier.
+//
+//gearbox:steadystate
+func (m *Machine) iterate(f *Frontier, opts IterateOptions, walk bool) (*Frontier, IterStats, error) {
 	if len(f.Local) != m.plan.NumSPUs {
 		return nil, IterStats{}, fmt.Errorf("gearbox: frontier built for %d SPUs, machine has %d", len(f.Local), m.plan.NumSPUs) //gearbox:alloc-ok cold path: caller misuse aborts the iteration
 	}
@@ -473,7 +493,7 @@ func (m *Machine) Iterate(f *Frontier, opts IterateOptions) (*Frontier, IterStat
 	for i := 0; i < 6; i++ {
 		switch i {
 		case 0:
-			m.step1FrontierDistribution(f, st)
+			m.step1FrontierDistribution(f, walk, st)
 		case 1:
 			m.step2OffsetPacking(f, st)
 		case 2:
@@ -582,6 +602,9 @@ func (m *Machine) ResetForRun(sem semiring.Semiring) {
 		m.logicAcc[i] = m.clean
 	}
 	m.logicDirty = m.logicDirty[:0]
+	for i := range m.longPos {
+		m.longPos[i] = -1
+	}
 	for k := range m.replicas {
 		rep := m.replicas[k]
 		for i := range rep {

@@ -49,6 +49,13 @@ func machineWithWorkers(t *testing.T, m *sparse.CSC, pcfg partition.Config, sem 
 // returns every iteration's stats and frontier, for exact comparison.
 func runChained(t *testing.T, mach *Machine, entries []FrontierEntry, iters int) ([]IterStats, []*Frontier) {
 	t.Helper()
+	return runChainedWalk(t, mach, entries, iters, true)
+}
+
+// runChainedWalk is runChained with step 3's ascending long-fragment walk
+// allowed (walk) or forced off, in favour of the caller-order lookup.
+func runChainedWalk(t *testing.T, mach *Machine, entries []FrontierEntry, iters int, walk bool) ([]IterStats, []*Frontier) {
+	t.Helper()
 	var stats []IterStats
 	var frontiers []*Frontier
 	n := mach.Plan().Matrix.NumRows
@@ -66,7 +73,7 @@ func runChained(t *testing.T, mach *Machine, entries []FrontierEntry, iters int)
 			}
 			opts.Apply = &ApplySpec{Alpha: 1, Y: y}
 		}
-		next, st, err := mach.Iterate(f, opts)
+		next, st, err := mach.iterate(f, opts, walk)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,12 +30,14 @@ import (
 
 // step1FrontierDistribution broadcasts the long-activating frontier entries
 // from the logic layer to all subarrays (§5 Step 1) and, for HypoGearboxV2,
-// the whole input vector.
+// the whole input vector. On the host it also indexes f.Long for step 3's
+// ascending walk when walk allows it.
 //
 //gearbox:steadystate
-func (m *Machine) step1FrontierDistribution(f *Frontier, st *IterStats) {
+func (m *Machine) step1FrontierDistribution(f *Frontier, walk bool, st *IterStats) {
 	m.resetScratch()
 	m.net.Reset()
+	m.longAsc = walk && m.indexLongFrontier(f)
 
 	words := int64(2 * len(f.Long))
 	if m.hypo {
@@ -50,6 +52,26 @@ func (m *Machine) step1FrontierDistribution(f *Frontier, st *IterStats) {
 	s.Events.LogicOps = words
 	s.Events.NetHopWords = m.net.HopWords()
 	s.Events.TSVWords = m.net.TSVWords()
+}
+
+// indexLongFrontier records each long activation's position in longPos and
+// reports true when f.Long is strictly ascending over long columns. Any
+// other list (unsorted, duplicated, or naming a column outside the long
+// region) leaves longPos untouched and reports false.
+//
+//gearbox:steadystate
+func (m *Machine) indexLongFrontier(f *Frontier) bool {
+	prev := int32(-1)
+	for _, fe := range f.Long {
+		if fe.Index <= prev || fe.Index > m.plan.LastLong {
+			return false
+		}
+		prev = fe.Index
+	}
+	for i, fe := range f.Long {
+		m.longPos[fe.Index] = int32(i)
+	}
+	return true
 }
 
 // step2OffsetPacking packs (column offset, length, frontier value) triples
@@ -184,18 +206,35 @@ func (m *Machine) step3SPUBody(w, k int) {
 		}
 		seqActs += int64(2*n)/int64(m.cfg.Geo.WordsPerRow()) + 1
 	}
-	for _, fe := range f.Long {
-		frag := m.plan.LongFrags[k][fe.Index]
-		spill := m.plan.LongRowSpill[k][fe.Index]
-		c.processedNNZ += int64(len(frag) + len(spill))
-		for _, fr := range frag {
-			accumulate(fr.Row, m.sem.Mul(fr.Val, fe.Value))
+	// Long columns: stream SPU k's segment (owned fragment, then spill) of
+	// every activated long column, in f.Long order.
+	p := m.plan
+	lo, hi := p.LongSPU[k], p.LongSPU[k+1]
+	segment := func(j int32, x float32) {
+		a, b := p.LongOff[j], p.LongOff[j+1]
+		for e := a; e < b; e++ {
+			accumulate(p.LongRow[e], m.sem.Mul(p.LongVal[e], x))
 		}
-		for _, fr := range spill {
-			accumulate(fr.Row, m.sem.Mul(fr.Val, fe.Value))
+		n := int64(b - a)
+		c.processedNNZ += n
+		seqActs += 2*n/int64(m.cfg.Geo.WordsPerRow()) + 1
+	}
+	if m.longAsc {
+		// f.Long ascends, so k's ascending columns meet it in its own
+		// order: O(k's pairs), however long the frontier.
+		for j := lo; j < hi; j++ {
+			if pos := m.longPos[p.LongCol[j]]; pos >= 0 {
+				segment(j, f.Long[pos].Value)
+			}
 		}
-		if n := len(frag) + len(spill); n > 0 {
-			seqActs += int64(2*n)/int64(m.cfg.Geo.WordsPerRow()) + 1
+	} else {
+		// Caller order, duplicates included: the per-SPU fold order is the
+		// caller's, which float semirings can observe.
+		cols := p.LongCol[lo:hi]
+		for _, fe := range f.Long {
+			if i, ok := slices.BinarySearch(cols, fe.Index); ok {
+				segment(lo+int32(i), fe.Value)
+			}
 		}
 	}
 
@@ -329,6 +368,11 @@ func (m *Machine) step3LocalAccumulations(f *Frontier, st *IterStats) {
 	}
 	// Counted while routing: each long activation processed one fragment set.
 	st.ActivatedColumns += int64(len(f.Long))
+	if m.longAsc {
+		for _, fe := range f.Long {
+			m.longPos[fe.Index] = -1
+		}
+	}
 
 	// Receiving dispatchers buffer pairs concurrently with compute, one
 	// Walker row (WordsPerRow/2 pairs) at a time.

@@ -13,6 +13,7 @@ package partition
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -173,11 +174,20 @@ type Plan struct {
 	// OwnerOf[v] is the flat compute-SPU index owning new label v, or -1
 	// for long-region labels (owned by the logic layer).
 	OwnerOf []int32
-	// LongFrags[k] holds the (row,value) fragments of long columns whose
-	// rows SPU k owns, grouped by column; LongRowSpill[k] holds long-column
-	// entries whose rows are themselves long (round-robined for balance).
-	LongFrags    []map[int32][]sparse.Entry
-	LongRowSpill []map[int32][]sparse.Entry
+	// The long-column fragments as one flat per-SPU CSR. SPU k's present
+	// long columns are LongCol[LongSPU[k]:LongSPU[k+1]], strictly
+	// ascending; the entries of the j-th (SPU, column) pair are
+	// LongRow/LongVal[LongOff[j]:LongOff[j+1]]. A pair's segment holds the
+	// column's entries whose rows SPU k owns (the fragment, so the
+	// accumulation is local, Fig. 2b), then the entries whose rows are
+	// themselves long and were round-robined onto SPU k for balance (the
+	// spill), each part in column position order. Every segment is
+	// non-empty.
+	LongSPU []int32 // len NumSPUs+1, offsets into LongCol
+	LongCol []int32
+	LongOff []int32 // len(LongCol)+1, offsets into LongRow/LongVal
+	LongRow []int32
+	LongVal []float32
 }
 
 // SPUIDOf maps a flat compute-SPU index to its stack coordinates. Flat
@@ -259,7 +269,9 @@ func Build(m *sparse.CSC, geo mem.Geometry, cfg Config) (*Plan, error) {
 		}
 	})
 
-	p.buildLongFragments(pool)
+	if err := p.buildLongFragments(pool); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
@@ -474,19 +486,19 @@ func rebalance(perSPU [][]int32, total int) {
 // buildLongFragments distributes each long column's entries: entries whose
 // row is short go to the row's owner (so the accumulation is local, Fig. 2b);
 // entries whose row is itself long are round-robined across SPUs and handled
-// by the LongEntryTreat path.
+// by the LongEntryTreat path. It lays them out as the flat per-SPU CSR the
+// Plan documents.
 //
 // The build is sharded by destination SPU: every worker scans the whole long
-// region but appends only the entries its SPU block owns, so each map is
-// written by exactly one worker and every per-column slice keeps the serial
-// (column-ascending, position-ascending) order. The round-robin target of a
-// spill entry is its global spill ordinal mod NumSPUs; the ordinal is the
-// column's spill-count prefix plus the entry's within-column spill rank —
-// both worker-independent — so the sharded build reproduces the serial `rr`
-// counter bit for bit.
-func (p *Plan) buildLongFragments(pool *par.Pool) {
-	p.LongFrags = make([]map[int32][]sparse.Entry, p.NumSPUs)
-	p.LongRowSpill = make([]map[int32][]sparse.Entry, p.NumSPUs)
+// region but keeps only the entries its SPU block owns, and SPU k's pairs and
+// entries are contiguous, so each block writes a disjoint window of the flat
+// arrays. A count pass sizes every SPU's pairs and entries; after a serial
+// prefix sum the fill pass writes arrays of exact size. The round-robin
+// target of a spill entry is its global spill ordinal mod NumSPUs; the
+// ordinal is the column's spill-count prefix plus the entry's within-column
+// spill rank — both worker-independent — so the sharded build reproduces a
+// serial global counter bit for bit.
+func (p *Plan) buildLongFragments(pool *par.Pool) error {
 	nLong := int(p.LastLong + 1)
 	// Per-column spill counts, then prefix: spillBase[c] is the global
 	// round-robin ordinal of column c's first long-row entry.
@@ -512,33 +524,107 @@ func (p *Plan) buildLongFragments(pool *par.Pool) {
 	for c := 0; c < nLong; c++ {
 		spillBase[c+1] += spillBase[c]
 	}
-	pool.ForEachBlock(p.NumSPUs, func(_, klo, khi int) {
-		for k := klo; k < khi; k++ {
-			p.LongFrags[k] = map[int32][]sparse.Entry{}
-			p.LongRowSpill[k] = map[int32][]sparse.Entry{}
-		}
+
+	// route walks the long region in column order and calls visit for every
+	// entry bound for an SPU k in [klo, khi): within a column, first the
+	// entries whose rows k owns, then the spill entries round-robined onto
+	// k, each in position order — the order a segment stores them in.
+	route := func(klo, khi int, visit func(k int, c, r int32, v float32)) {
+		var spill []int32 // positions of the column's long-row entries
 		//gearbox:narrow-ok nLong = LastLong+1 comes from an int32 column id
 		for c := int32(0); c < int32(nLong); c++ {
 			rows, vals := p.Matrix.Col(c)
-			rr := spillBase[c]
+			spill = spill[:0]
 			for i, r := range rows.All() {
-				owner := int(p.OwnerOf[r])
-				if owner < 0 {
-					owner = rr % p.NumSPUs
-					rr++
-					if owner >= klo && owner < khi {
-						p.LongRowSpill[owner][c] = append(p.LongRowSpill[owner][c],
-							sparse.Entry{Row: r, Col: c, Val: vals[i]})
-					}
-					continue
+				if k := int(p.OwnerOf[r]); k < 0 {
+					spill = append(spill, int32(i))
+				} else if k >= klo && k < khi {
+					visit(k, c, r, vals[i])
 				}
-				if owner >= klo && owner < khi {
-					p.LongFrags[owner][c] = append(p.LongFrags[owner][c],
-						sparse.Entry{Row: r, Col: c, Val: vals[i]})
+			}
+			for s, i := range spill {
+				if k := (spillBase[c] + s) % p.NumSPUs; k >= klo && k < khi {
+					visit(k, c, rows.At(int(i)), vals[i])
 				}
 			}
 		}
+	}
+
+	// Count pass: SPU k's (SPU, column) pairs and entries land at k+1 of
+	// pairBase and entBase, which the prefix sum below turns into offsets.
+	pairBase := make([]int, p.NumSPUs+1)
+	entBase := make([]int, p.NumSPUs+1)
+	pool.ForEachBlock(p.NumSPUs, func(_, klo, khi int) {
+		pairs := make([]int, khi-klo)
+		ents := make([]int, khi-klo)
+		last := make([]int32, khi-klo)
+		for j := range last {
+			last[j] = -1
+		}
+		route(klo, khi, func(k int, c, _ int32, _ float32) {
+			j := k - klo
+			ents[j]++
+			if last[j] != c {
+				last[j] = c
+				pairs[j]++
+			}
+		})
+		for k := klo; k < khi; k++ {
+			pairBase[k+1], entBase[k+1] = pairs[k-klo], ents[k-klo]
+		}
 	})
+
+	// Offsets. Segment entries are addressed by int32, so the long region
+	// must hold fewer than 2^31 entries (pairs never outnumber entries).
+	for k := 0; k < p.NumSPUs; k++ {
+		pairBase[k+1] += pairBase[k]
+		entBase[k+1] += entBase[k]
+	}
+	total := entBase[p.NumSPUs]
+	if total > math.MaxInt32 {
+		return fmt.Errorf("partition: long columns hold %d entries, more than the fragment layout's int32 offsets address", total)
+	}
+	p.LongSPU = make([]int32, p.NumSPUs+1)
+	for k, b := range pairBase {
+		p.LongSPU[k] = int32(b)
+	}
+	nPairs := pairBase[p.NumSPUs]
+	p.LongCol = make([]int32, nPairs)
+	p.LongOff = make([]int32, nPairs+1)
+	p.LongOff[nPairs] = int32(total)
+	p.LongRow = make([]int32, total)
+	p.LongVal = make([]float32, total)
+
+	// Fill pass: block [klo, khi) owns pairs [pairBase[klo], pairBase[khi])
+	// and entries [entBase[klo], entBase[khi]).
+	pool.ForEachBlock(p.NumSPUs, func(_, klo, khi int) {
+		cols := p.LongCol[pairBase[klo]:pairBase[khi]]
+		offs := p.LongOff[pairBase[klo]:pairBase[khi]]
+		rows := p.LongRow[entBase[klo]:entBase[khi]]
+		vals := p.LongVal[entBase[klo]:entBase[khi]]
+		base := int32(entBase[klo])
+		pc := make([]int32, khi-klo) // next pair slot, relative to cols
+		ec := make([]int32, khi-klo) // next entry slot, relative to rows
+		last := make([]int32, khi-klo)
+		for k := klo; k < khi; k++ {
+			pc[k-klo] = int32(pairBase[k] - pairBase[klo]) //gearbox:narrow-ok pairs never outnumber entries, whose total is checked against MaxInt32 above
+			ec[k-klo] = int32(entBase[k] - entBase[klo])
+			last[k-klo] = -1
+		}
+		route(klo, khi, func(k int, c, r int32, v float32) {
+			j := k - klo
+			if last[j] != c {
+				last[j] = c
+				cols[pc[j]] = c
+				offs[pc[j]] = base + ec[j]
+				pc[j]++
+			}
+			rows[ec[j]] = r
+			vals[ec[j]] = v
+			ec[j]++
+		})
+	})
+	return nil
 }
 
 // Validate checks the structural invariants the machine relies on; property
@@ -575,31 +661,54 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("partition: label %d owner %d inconsistent with ranges", v, owner)
 		}
 	}
-	// Every long-column entry appears in exactly one fragment list.
-	var fragCount int64
+	// The long-fragment CSR: monotone offsets, non-empty segments, each
+	// SPU's columns strictly ascending inside the long region, owned rows
+	// before spilled long rows. The offsets are checked whole first, so the
+	// walk below never indexes out of range on a corrupt plan.
+	if len(p.LongSPU) != p.NumSPUs+1 || p.LongSPU[0] != 0 || int(p.LongSPU[p.NumSPUs]) != len(p.LongCol) {
+		return fmt.Errorf("partition: LongSPU does not span LongCol")
+	}
+	if len(p.LongOff) != len(p.LongCol)+1 || p.LongOff[0] != 0 ||
+		int(p.LongOff[len(p.LongCol)]) != len(p.LongRow) || len(p.LongVal) != len(p.LongRow) {
+		return fmt.Errorf("partition: LongOff does not span LongRow/LongVal")
+	}
 	for k := 0; k < p.NumSPUs; k++ {
-		//gearbox:nondet-ok validation walk: integer count plus error-or-nil, both order-insensitive
-		for c, es := range p.LongFrags[k] {
-			if c > p.LastLong {
-				return fmt.Errorf("partition: fragment for non-long column %d", c)
-			}
-			for _, e := range es {
-				if p.OwnerOf[e.Row] != int32(k) {
-					return fmt.Errorf("partition: SPU %d holds fragment row %d owned by %d", k, e.Row, p.OwnerOf[e.Row])
-				}
-			}
-			fragCount += int64(len(es))
-		}
-		//gearbox:nondet-ok validation walk: integer count plus error-or-nil, both order-insensitive
-		for _, es := range p.LongRowSpill[k] {
-			for _, e := range es {
-				if p.OwnerOf[e.Row] != -1 {
-					return fmt.Errorf("partition: spill entry row %d is not long", e.Row)
-				}
-			}
-			fragCount += int64(len(es))
+		if p.LongSPU[k+1] < p.LongSPU[k] {
+			return fmt.Errorf("partition: LongSPU decreases at SPU %d", k)
 		}
 	}
+	for j := range p.LongCol {
+		if p.LongOff[j+1] <= p.LongOff[j] {
+			return fmt.Errorf("partition: long pair %d has an empty segment", j)
+		}
+	}
+	for k := 0; k < p.NumSPUs; k++ {
+		lo, hi := p.LongSPU[k], p.LongSPU[k+1]
+		for j := lo; j < hi; j++ {
+			c := p.LongCol[j]
+			if c < 0 || c > p.LastLong {
+				return fmt.Errorf("partition: SPU %d holds a fragment of non-long column %d", k, c)
+			}
+			if j > lo && c <= p.LongCol[j-1] {
+				return fmt.Errorf("partition: SPU %d columns not strictly ascending at %d", k, c)
+			}
+			spilled := false
+			for _, r := range p.LongRow[p.LongOff[j]:p.LongOff[j+1]] {
+				if r < 0 || r >= n {
+					return fmt.Errorf("partition: SPU %d column %d holds row %d out of range", k, c, r)
+				}
+				switch owner := p.OwnerOf[r]; {
+				case owner == -1:
+					spilled = true
+				case spilled:
+					return fmt.Errorf("partition: SPU %d column %d holds owned row %d after its spill", k, c, r)
+				case owner != int32(k):
+					return fmt.Errorf("partition: SPU %d holds fragment row %d owned by %d", k, r, owner)
+				}
+			}
+		}
+	}
+	fragCount := int64(len(p.LongRow))
 	var wantFrag int64
 	for c := int32(0); c <= p.LastLong; c++ {
 		wantFrag += int64(p.Matrix.ColLen(c))

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -258,12 +259,16 @@ func TestLongFragmentsColocatedWithOutput(t *testing.T) {
 	if p.LastLong < 0 {
 		t.Skip("no long vertices at this scale")
 	}
-	// Fig. 2(b): every long-column fragment entry lives with its output row.
+	// Fig. 2(b): every long-column fragment entry lives with its output row;
+	// the rest of a segment is spill, whose rows are long.
 	for k := 0; k < p.NumSPUs; k++ {
-		for _, es := range p.LongFrags[k] {
-			for _, e := range es {
-				if !p.Ranges[k].Contains(e.Row) {
-					t.Fatalf("SPU %d fragment row %d outside its range %+v", k, e.Row, p.Ranges[k])
+		for j := p.LongSPU[k]; j < p.LongSPU[k+1]; j++ {
+			for _, r := range p.LongRow[p.LongOff[j]:p.LongOff[j+1]] {
+				if r <= p.LastLong {
+					continue
+				}
+				if !p.Ranges[k].Contains(r) {
+					t.Fatalf("SPU %d fragment row %d outside its range %+v", k, r, p.Ranges[k])
 				}
 			}
 		}
@@ -481,6 +486,75 @@ func TestNNZBalancedPreservesSemantics(t *testing.T) {
 	for i := range y {
 		if y[i] != back[i] {
 			t.Fatalf("NNZ balancing changed the math at %d", i)
+		}
+	}
+}
+
+// TestValidateRejectsCorruptLongFragments breaks each long-fragment CSR
+// invariant in turn on a valid plan and checks Validate names it.
+func TestValidateRejectsCorruptLongFragments(t *testing.T) {
+	m := powerLawMatrix(t, 9, 37)
+	cfg := DefaultConfig()
+	cfg.LongFrac = 0.05 // long rows hit long columns, so segments spill
+	build := func() *Plan {
+		p, err := Build(m, smallGeo(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	// firstPair returns the first pair j of some SPU k satisfying ok.
+	firstPair := func(p *Plan, ok func(k int, j int32) bool) (int, int32) {
+		for k := 0; k < p.NumSPUs; k++ {
+			for j := p.LongSPU[k]; j < p.LongSPU[k+1]; j++ {
+				if ok(k, j) {
+					return k, j
+				}
+			}
+		}
+		t.Fatal("no pair has the shape this corruption needs")
+		return 0, 0
+	}
+	owned := func(p *Plan, e int32) bool { return p.OwnerOf[p.LongRow[e]] >= 0 }
+	cases := []struct {
+		name, want string
+		corrupt    func(p *Plan)
+	}{
+		{"LongSPU decreases", "LongSPU decreases", func(p *Plan) { p.LongSPU[1] = p.LongSPU[2] + 1 }},
+		{"empty segment", "empty segment", func(p *Plan) { p.LongOff[1] = p.LongOff[0] }},
+		{"values short", "does not span", func(p *Plan) { p.LongVal = p.LongVal[:len(p.LongVal)-1] }},
+		{"non-long column", "non-long column", func(p *Plan) { p.LongCol[0] = p.LastLong + 1 }},
+		{"columns out of order", "not strictly ascending", func(p *Plan) {
+			_, j := firstPair(p, func(k int, j int32) bool { return j+1 < p.LongSPU[k+1] })
+			p.LongCol[j], p.LongCol[j+1] = p.LongCol[j+1], p.LongCol[j]
+		}},
+		{"fragment row elsewhere", "owned by", func(p *Plan) {
+			k, j := firstPair(p, func(_ int, j int32) bool { return owned(p, p.LongOff[j]) })
+			p.LongRow[p.LongOff[j]] = p.Ranges[(k+1)%p.NumSPUs].First
+		}},
+		{"spill ahead of fragment", "after its spill", func(p *Plan) {
+			_, j := firstPair(p, func(_ int, j int32) bool {
+				return owned(p, p.LongOff[j]) && !owned(p, p.LongOff[j+1]-1)
+			})
+			a, b := p.LongOff[j], p.LongOff[j+1]-1
+			p.LongRow[a], p.LongRow[b] = p.LongRow[b], p.LongRow[a]
+		}},
+		{"extra entry", "fragments hold", func(p *Plan) {
+			last := len(p.LongRow) - 1
+			p.LongRow = append(p.LongRow, p.LongRow[last])
+			p.LongVal = append(p.LongVal, p.LongVal[last])
+			p.LongOff[len(p.LongCol)]++
+		}},
+	}
+	for _, tc := range cases {
+		p := build()
+		tc.corrupt(p)
+		err := p.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate() = %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
 }

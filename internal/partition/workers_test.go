@@ -4,13 +4,11 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-
-	"gearbox/internal/sparse"
 )
 
 // planEqual deep-compares everything a Plan derives from the matrix: the
-// relabeled arrays, permutation, ranges, ownership, and both fragment maps
-// (per-column slices compared element-wise, in map-key order).
+// relabeled arrays, permutation, ranges, ownership, and the five arrays of
+// the long-fragment CSR.
 func planEqual(t *testing.T, a, b *Plan) {
 	t.Helper()
 	if !slices.Equal(a.Matrix.Offsets, b.Matrix.Offsets) ||
@@ -24,30 +22,11 @@ func planEqual(t *testing.T, a, b *Plan) {
 	if a.LastLong != b.LastLong || !slices.Equal(a.Ranges, b.Ranges) || !slices.Equal(a.OwnerOf, b.OwnerOf) {
 		t.Fatal("ranges or ownership differ")
 	}
-	fragsEqual := func(x, y []map[int32][]sparse.Entry) {
-		t.Helper()
-		if len(x) != len(y) {
-			t.Fatal("fragment map counts differ")
-		}
-		for k := range x {
-			if len(x[k]) != len(y[k]) {
-				t.Fatalf("SPU %d: fragment column sets differ", k)
-			}
-			cols := make([]int32, 0, len(x[k]))
-			//gearbox:nondet-ok keys are sorted before comparison
-			for c := range x[k] {
-				cols = append(cols, c)
-			}
-			slices.Sort(cols)
-			for _, c := range cols {
-				if !slices.Equal(x[k][c], y[k][c]) {
-					t.Fatalf("SPU %d column %d: fragments differ", k, c)
-				}
-			}
-		}
+	if !slices.Equal(a.LongSPU, b.LongSPU) || !slices.Equal(a.LongCol, b.LongCol) ||
+		!slices.Equal(a.LongOff, b.LongOff) || !slices.Equal(a.LongRow, b.LongRow) ||
+		!slices.Equal(a.LongVal, b.LongVal) {
+		t.Fatal("long fragments differ")
 	}
-	fragsEqual(a.LongFrags, b.LongFrags)
-	fragsEqual(a.LongRowSpill, b.LongRowSpill)
 }
 
 func TestBuildWorkersEquivalent(t *testing.T) {
@@ -96,12 +75,15 @@ func TestBuildMatchesPreRefactorRoundRobin(t *testing.T) {
 			}
 			k := rr % p.NumSPUs
 			rr++
-			es := p.LongRowSpill[k][c]
 			found := false
-			for _, e := range es {
-				if e.Row == r && e.Val == vals[i] {
-					found = true
-					break
+			cols := p.LongCol[p.LongSPU[k]:p.LongSPU[k+1]]
+			if j, ok := slices.BinarySearch(cols, c); ok {
+				j += int(p.LongSPU[k])
+				for e := p.LongOff[j]; e < p.LongOff[j+1]; e++ {
+					if p.LongRow[e] == r && p.LongVal[e] == vals[i] {
+						found = true
+						break
+					}
 				}
 			}
 			if !found {
