@@ -17,7 +17,7 @@
 //     memory do NOT propagate it: a value loaded via the worker's range is
 //     the worker's data, not a proof it stays inside the worker's range.
 //   - alias taint: references reached through a parameter-indexed path
-//     (`e := &m.emit[k]`, `perBank := m.scr.mergePW[w].perBank`,
+//     (`e := &m.emit[k]`, `c := &m.scr.s3PW[w]`,
 //     `rep := m.replica(k)`), plus selectors of such values
 //     (`r := m.plan.Ranges[k]; v := r.First` keeps v index-tainted).
 //
@@ -382,7 +382,7 @@ func (c *checker) mentionsAnyTaint(e ast.Expr) bool {
 
 // aliasExpr reports whether e yields a reference into worker-owned memory:
 // an expression rooted at captured state with an index-tainted index or
-// slice bound on its path (`m.emit[k]`, `m.scr.mergePW[w].perBank`,
+// slice bound on its path (`m.emit[k]`, `m.scr.s3PW[w].ev`,
 // `buf[lo:hi]`), an address of such, a selector/index of an alias-tainted
 // local, or a call passing an index-tainted argument (`m.replica(k)`).
 func (c *checker) aliasExpr(e ast.Expr) bool {

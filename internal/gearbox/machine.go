@@ -111,17 +111,6 @@ type Config struct {
 	// frontiers, outputs) are bit-identical for every value; see DESIGN.md
 	// "Execution model" for the merge-order rules that guarantee it.
 	Workers int
-	// PipelineChunkSPUs is the source-SPU chunk width of the step 3
-	// compute/merge software pipeline (DESIGN.md "Pipelined execution"):
-	// step 3 computes the frontier in chunks of this many SPUs, and the
-	// merge of chunk c overlaps the compute of chunk c+1. 0 selects an
-	// automatic width (about eight chunks per iteration); > 0 pins the
-	// width (clamped to NumSPUs); < 0 forces a single chunk, disabling the
-	// overlap. Simulated results are bit-identical at every setting — the
-	// merge folds chunks in (chunk, ascending source SPU) order, which is
-	// globally ascending source SPU, the serial order — so the knob only
-	// moves host wall time.
-	PipelineChunkSPUs int
 }
 
 // DefaultConfig returns the Table 2 machine: default geometry/timing and a
@@ -189,20 +178,21 @@ type Machine struct {
 	dstBlockOf []int32
 	scr        scratch // pooled per-iteration accounting buffers
 
-	// Step 3 software pipeline (pipeline.go): chunkSPUs is the resolved
-	// source-SPU chunk width, chunkBase the base SPU of the chunk the
-	// compute region is currently running (read by fnStep3Chunk), and
-	// mergeLo/mergeHi the source window [lo, hi) the merge stage is
-	// currently draining (read by the fnMerge* bodies). chunkBase is
-	// written only between compute regions on the Iterate goroutine;
-	// mergeLo/mergeHi only between merge passes on the merge-stage
-	// goroutine — both are published to the pool workers by the region
-	// fork.
+	// Step 3 software pipeline (pipeline.go): chunkSPUs is the source-SPU
+	// chunk width (about eight chunks per iteration), chunkBase the base
+	// SPU of the chunk the compute region is currently running (read by
+	// fnStep3Chunk), and mergeLo/mergeHi the source window [lo, hi) the
+	// merge stage is currently draining (read by fnMergePairs and
+	// mergeLogic). chunkBase is written only between compute regions on the
+	// Iterate goroutine; mergeLo/mergeHi only between merge passes on the
+	// merge-stage goroutine — both are published to the pool workers by the
+	// region fork. mergeCleanHits counts the clean transitions mergeLogic
+	// sees; step 3 reads it after the merge stage drains.
 	chunkSPUs        int
 	chunkBase        int
 	mergeLo, mergeHi int
+	mergeCleanHits   int64
 	pipe             pipeline
-	reduceWG         sync.WaitGroup
 
 	// Plan facts cached at New so the worker bodies read fields instead of
 	// recomputing per call.
@@ -225,13 +215,11 @@ type Machine struct {
 	curNext  *Frontier
 	iterSt   IterStats
 
-	fnStep2, fnStep3, fnStep5   func(w, k int)
-	fnApply, fnEmit             func(w, k int)
-	fnStep3Chunk                func(w, i int)
-	fnMergePairs, fnMergeLogic  func(w, b, lo, hi int)
-	fnMergeHypoShort            func(w, b, lo, hi int)
-	fnReduceRep                 func(w, b, lo, hi int)
-	fnMergeStage, fnReduceStage func()
+	fnStep2, fnStep3, fnStep5 func(w, k int)
+	fnApply, fnEmit           func(w, k int)
+	fnStep3Chunk              func(w, i int)
+	fnMergePairs              func(w, b, lo, hi int)
+	fnMergeStage              func()
 
 	instrCosts costs
 
@@ -372,23 +360,10 @@ func New(plan *partition.Plan, sem semiring.Semiring, cfg Config) (*Machine, err
 			m.replicas = make([][]float32, plan.NumSPUs)
 		}
 	}
-	m.chunkSPUs = resolvePipelineChunk(cfg.PipelineChunkSPUs, plan.NumSPUs)
+	m.chunkSPUs = (plan.NumSPUs + 7) / 8
 	m.pipe.cond = sync.NewCond(&m.pipe.mu)
 	m.initScratch()
 	return m, nil
-}
-
-// resolvePipelineChunk maps the PipelineChunkSPUs knob to an effective chunk
-// width in [1, nSPU]; see the Config field for the encoding.
-func resolvePipelineChunk(cfg, nSPU int) int {
-	switch {
-	case cfg < 0 || cfg >= nSPU:
-		return nSPU
-	case cfg == 0:
-		return (nSPU + 7) / 8
-	default:
-		return cfg
-	}
 }
 
 // Plan exposes the partition plan (read-only by convention).
@@ -645,7 +620,7 @@ func (m *Machine) stepTelemetry(step int) {
 		m.tel.DispatchOccupancy(3, now, m.scr.recvPerBank)
 		m.tel.LinkWords(3, now, m.net.RingSegmentWords(), m.net.TSVVaultWords())
 	case 4:
-		m.tel.DispatchOccupancy(4, now, m.scr.bankPairs)
+		m.tel.DispatchOccupancy(4, now, m.scr.recvPerBank)
 		m.tel.LinkWords(4, now, m.net.RingSegmentWords(), m.net.TSVVaultWords())
 	case 5:
 		m.tel.StepSPUBusy(5, now, m.busy)

@@ -7,9 +7,10 @@ package gearbox
 // goroutine drains chunk c's emit buckets into the shared receive buffers and
 // accumulators. The two phases touch disjoint state — compute writes the
 // chunk's per-SPU buffers, the merge reads a different (already computed)
-// chunk's buffers and writes only destination-sharded state compute never
-// touches — so the overlap is race-free, and it hides the merge's host cost
-// behind the compute of the next chunk.
+// chunk's buffers and writes only shared state compute never touches (receive
+// buffers, the logic accumulator, HypoGearboxV2 owner shards) — so the
+// overlap is race-free, and it hides the merge's host cost behind the
+// compute of the next chunk.
 //
 // Bit-identity survives chunking because chunks partition the SOURCE SPU
 // space contiguously and in order: every merge pass scans its window's
@@ -122,32 +123,48 @@ func (m *Machine) step3MergeStage() {
 }
 
 // runStep3Merge folds the emit buckets of the source window [mergeLo,
-// mergeHi) into the destination-sharded shared state: dispatcher pairs into
-// the receive buffers, then (HypoGearboxV2) short accumulations into owner
-// shards, then logic-layer contributions into the accumulator. Blocks are
-// dispensed dynamically, but each destination belongs to exactly one guided
-// block, so per-destination order is fixed regardless of which worker claims
-// which block.
+// mergeHi) into the shared state: dispatcher pairs into the receive buffers
+// on the pool, then logic-layer contributions in one ordered pass. The pair
+// merge's blocks are dispensed dynamically, but each destination belongs to
+// exactly one guided block, so per-destination order is fixed regardless of
+// which worker claims which block.
 //
 //gearbox:steadystate
 func (m *Machine) runStep3Merge() {
 	m.pool.ForEachBlockDynamic("step3-merge-pairs", m.plan.NumSPUs, m.fnMergePairs)
-	if m.hypo {
-		m.pool.ForEachBlockDynamic("step3-merge-short", m.plan.NumSPUs, m.fnMergeHypoShort)
-	}
-	m.pool.ForEachBlockDynamic("step3-merge-logic", int(m.plan.LastLong)+1, m.fnMergeLogic)
+	m.mergeLogic()
 }
 
-// runStep6Reduce is the V3 replica reduction sharded by logic-accumulator
-// slot: guided blocks over [0, LastLong] each fold every SPU's dirty replica
-// slots in their range, scanning SPUs in ascending order so each slot's
-// float fold order matches the serial path. With apply disabled it overlaps
-// the frontier-emit region (see step6Applying); the two touch disjoint
-// state (long replicas/accumulator vs short output/frontier buckets).
+// mergeLogic folds the window's logic-layer contributions in ascending
+// source SPU, then emission, order — the serial order at any chunk width:
+// long slots (V2 sends) into the logic accumulator and, in HypoGearboxV2,
+// every short index into its owner's output shard.
 //
 //gearbox:steadystate
-func (m *Machine) runStep6Reduce() {
-	m.pool.ForEachBlockDynamic("step6-reduce", int(m.plan.LastLong)+1, m.fnReduceRep)
+func (m *Machine) mergeLogic() {
+	for k := m.mergeLo; k < m.mergeHi; k++ {
+		vals := m.emit[k].logicVal
+		for i, idx := range m.emit[k].logicIdx {
+			if idx <= m.plan.LastLong {
+				old := m.logicAcc[idx]
+				if m.sem.IsZero(old) {
+					m.logicDirtyAdd(idx)
+					if m.hypo {
+						m.mergeCleanHits++
+					}
+				}
+				m.logicAcc[idx] = m.sem.Add(old, vals[i])
+				continue
+			}
+			owner := m.plan.OwnerOf[idx]
+			old := m.output[idx]
+			if m.sem.IsZero(old) {
+				m.dirty[owner] = append(m.dirty[owner], idx) //gearbox:alloc-ok recycled dirty list; grows to its high-water mark
+				m.mergeCleanHits++
+			}
+			m.output[idx] = m.sem.Add(old, vals[i])
+		}
+	}
 }
 
 // PipelineStats snapshots the step 3 pipeline's host-side occupancy

@@ -7,8 +7,14 @@ import (
 	"gearbox/internal/semiring"
 )
 
+// setChunkSPUs pins the step 3 pipeline's chunk width after New. Widths past
+// the plan's SPU count clamp to it: one chunk, no compute/merge overlap.
+func setChunkSPUs(mach *Machine, width int) {
+	mach.chunkSPUs = min(width, mach.plan.NumSPUs)
+}
+
 // TestPipelineChunkEquivalence is the pipelined engine's contract: the chunk
-// width is a pure host-scheduling knob. Every Table 4 version must produce
+// width is a pure host-scheduling choice. Every Table 4 version must produce
 // bit-identical IterStats and frontiers across chunk widths {1, 7, 64,
 // whole-frontier} × worker counts {1, 2, 4, GOMAXPROCS}, all compared
 // against the serial default-chunk baseline. Width 1 maximizes pipeline
@@ -24,9 +30,8 @@ func TestPipelineChunkEquivalence(t *testing.T) {
 			stS, frS := runChained(t, serial, entries, 3)
 			for _, chunk := range []int{1, 7, 64, 1 << 30} {
 				for _, workers := range []int{1, 2, 4, 0} {
-					mach := machineWithWorkers(t, m, vc.cfg, semiring.PlusTimes{}, workers, func(cfg *Config) {
-						cfg.PipelineChunkSPUs = chunk
-					})
+					mach := machineWithWorkers(t, m, vc.cfg, semiring.PlusTimes{}, workers, nil)
+					setChunkSPUs(mach, chunk)
 					stP, frP := runChained(t, mach, entries, 3)
 					if !reflect.DeepEqual(stS, stP) {
 						t.Fatalf("IterStats diverge at chunk=%d workers=%d:\nserial:   %+v\npipelined: %+v", chunk, workers, stS, stP)
@@ -49,9 +54,8 @@ func TestPipelineChunkEquivalence(t *testing.T) {
 // (never more than two chunks computed but unmerged).
 func TestPipelineStats(t *testing.T) {
 	m := testMatrix(t, 26)
-	mach := machineWithWorkers(t, m, versionConfigs()[3].cfg, semiring.PlusTimes{}, 4, func(cfg *Config) {
-		cfg.PipelineChunkSPUs = 1 // one SPU per chunk: maximum pipeline churn
-	})
+	mach := machineWithWorkers(t, m, versionConfigs()[3].cfg, semiring.PlusTimes{}, 4, nil)
+	setChunkSPUs(mach, 1) // one SPU per chunk: maximum pipeline churn
 	entries := randomFrontier(m.NumRows, 50, 13)
 	runChained(t, mach, entries, 3)
 

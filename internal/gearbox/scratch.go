@@ -22,41 +22,25 @@ type emitCounters struct {
 	frontierOut int64
 }
 
-// mergeCounters is one worker's private state for the destination-sharded
-// step 3 merge: per-bank receive counts (summed after the barrier; integer
-// addition is order-insensitive), clean transitions observed in the worker's
-// region, and logic slots that turned non-clean there (concatenated after the
-// barrier; step 6 sorts and dedups before anything observable reads them).
-type mergeCounters struct {
-	perBank    []int64
-	cleanHits  int64
-	logicDirty []int32
-}
-
 type scratch struct {
 	packPW  []packCounters
 	s3PW    []step3Counters
 	scatPW  []scatCounters
 	applyPW []Events
 	emitPW  []emitCounters
-	mergePW []mergeCounters
-	// redPW[w][bf] is worker w's share of the step 6 distinct-slot count
-	// for flat bank bf (the slot-sharded replica reduction counts marks
-	// worker-privately; integer sums fold order-insensitively in the tail).
-	redPW [][]int64
 
+	// recvPerBank[bf] is the number of dispatcher pairs flat bank bf
+	// receives this iteration: step 3 buffers them, step 4 forwards them.
 	recvPerBank        []int64
-	bankPairs          []int64
 	logicPairsPerVault []int64
 	logicPerVault      []float64
 
-	// bankSlotMark[bf][r] == epoch marks long slot r as already counted for
-	// flat bank bf this iteration; bankSlotCount[bf] is the distinct-slot
-	// count (all the old per-bank map[int32]bool was consulted for). Marks
-	// are allocated eagerly for every bank on replicating machines: the
-	// parallel reduction may touch any bank's marks from any worker, so a
-	// lazy first-touch allocation would race.
-	bankSlotMark  [][]int32
+	// slotMark[r] == epoch marks long slot r as already counted for the bank
+	// the V3 replica reduction is visiting; bankSlotCount[bf] is bank bf's
+	// distinct-slot count. A bank's SPUs are contiguous in flat order, so
+	// the reduction bumps epoch once per bank and one mark array serves
+	// every bank.
+	slotMark      []int32
 	bankSlotCount []int64
 	epoch         int32
 }
@@ -71,18 +55,13 @@ func (m *Machine) initScratch() {
 		scatPW:             make([]scatCounters, w),
 		applyPW:            make([]Events, w),
 		emitPW:             make([]emitCounters, w),
-		mergePW:            make([]mergeCounters, w),
 		recvPerBank:        make([]int64, banks),
-		bankPairs:          make([]int64, banks),
 		logicPairsPerVault: make([]int64, m.cfg.Geo.Vaults),
 		logicPerVault:      make([]float64, m.cfg.Geo.Vaults),
-		bankSlotMark:       make([][]int32, banks),
 		bankSlotCount:      make([]int64, banks),
 	}
-	m.scr.redPW = make([][]int64, w)
-	for i := range m.scr.mergePW {
-		m.scr.mergePW[i].perBank = make([]int64, banks)
-		m.scr.redPW[i] = make([]int64, banks)
+	if m.replicate && m.plan.LastLong >= 0 {
+		m.scr.slotMark = make([]int32, m.plan.LastLong+1)
 	}
 	// Destination-block bucketing for the step-3 emit/merge path: each SPU
 	// emits into one bucket per guided merge block, and the worker that
@@ -101,11 +80,6 @@ func (m *Machine) initScratch() {
 	for k := range m.emit {
 		m.emit[k].bKey = make([][]uint64, nb)
 		m.emit[k].bVal = make([][]float32, nb)
-	}
-	if m.replicate && m.plan.LastLong >= 0 {
-		for bf := range m.scr.bankSlotMark {
-			m.scr.bankSlotMark[bf] = make([]int32, m.plan.LastLong+1)
-		}
 	}
 	m.bindWorkerFns()
 }
@@ -198,7 +172,6 @@ func (m *Machine) bindWorkerFns() {
 		// pipeline's chunks, merged in chunk order, so each destination's
 		// receive order is (chunk asc, source SPU asc) = global ascending
 		// source SPU, exactly the serial receive order.
-		perBank := m.scr.mergePW[w].perBank
 		for k := m.mergeLo; k < m.mergeHi; k++ {
 			keys := m.emit[k].bKey[b]
 			vals := m.emit[k].bVal[b]
@@ -208,106 +181,11 @@ func (m *Machine) bindWorkerFns() {
 				m.recvIdx[d] = append(m.recvIdx[d], int32(uint32(key))) //gearbox:alloc-ok recycled receive buffer; grows to its high-water mark
 				//gearbox:nondet-ok d lies in guided block b: same bucket-routing invariant as recvIdx above
 				m.recvVal[d] = append(m.recvVal[d], vals[i]) //gearbox:alloc-ok recycled receive buffer; grows to its high-water mark
-				perBank[m.bankOf[d]]++
-			}
-		}
-	}
-
-	//gearbox:steadystate
-	m.fnMergeLogic = func(w, b, lo, hi int) {
-		// Block b owns logic-accumulator slots [lo, hi) of the long region.
-		// Scanning the source window in ascending SPU order, window by
-		// window, keeps each slot's float fold order identical to the
-		// serial merge.
-		c := &m.scr.mergePW[w]
-		for k := m.mergeLo; k < m.mergeHi; k++ {
-			idxs := m.emit[k].logicIdx
-			vals := m.emit[k].logicVal
-			for i, idx := range idxs {
-				if int(idx) < lo || int(idx) >= hi {
-					continue
-				}
-				old := m.logicAcc[idx]
-				if m.sem.IsZero(old) {
-					c.logicDirty = append(c.logicDirty, idx) //gearbox:alloc-ok recycled per-worker dirty list; grows to its high-water mark
-					if m.hypo {
-						c.cleanHits++
-					}
-				}
-				m.logicAcc[idx] = m.sem.Add(old, vals[i])
-			}
-		}
-	}
-
-	//gearbox:steadystate
-	m.fnMergeHypoShort = func(w, b, lo, hi int) {
-		// HypoGearboxV2 routes every short accumulation through the logic
-		// layer too; block b owns the output shards of SPUs [lo, hi). Each
-		// short index has exactly one owner, so shards are exclusive and the
-		// per-owner dirty append order matches the serial merge.
-		c := &m.scr.mergePW[w]
-		for k := m.mergeLo; k < m.mergeHi; k++ {
-			idxs := m.emit[k].logicIdx
-			vals := m.emit[k].logicVal
-			for i, idx := range idxs {
-				owner := m.plan.OwnerOf[idx]
-				if int(owner) < lo || int(owner) >= hi {
-					continue
-				}
-				old := m.output[idx]
-				if m.sem.IsZero(old) {
-					m.dirty[owner] = append(m.dirty[owner], idx) //gearbox:alloc-ok recycled dirty list; grows to its high-water mark
-					c.cleanHits++
-				}
-				m.output[idx] = m.sem.Add(old, vals[i])
-			}
-		}
-	}
-
-	//gearbox:steadystate
-	m.fnReduceRep = func(w, b, lo, hi int) {
-		// V3 replica reduction, sharded by logic-accumulator slot: block b
-		// owns slots [lo, hi). Every block scans all SPUs' dirty replica
-		// lists in ascending SPU order, so each slot's float fold order is
-		// the serial reduction's. Marks are slot-indexed (slot r is touched
-		// only by the block owning r, so concurrent blocks write disjoint
-		// elements) and distinct-slot counts are worker-private.
-		c := &m.scr.mergePW[w]
-		counts := m.scr.redPW[w]
-		epoch := m.scr.epoch
-		for k := 0; k < m.plan.NumSPUs; k++ {
-			dl := m.dirtyLong[k]
-			if len(dl) == 0 {
-				continue
-			}
-			rep := m.replicas[k]
-			bf := m.bankOf[k]
-			marks := m.scr.bankSlotMark[bf]
-			for _, r := range dl {
-				if int(r) < lo || int(r) >= hi {
-					continue
-				}
-				old := m.logicAcc[r]
-				if m.sem.IsZero(old) {
-					c.logicDirty = append(c.logicDirty, r) //gearbox:alloc-ok recycled per-worker dirty list; grows to its high-water mark
-				}
-				m.logicAcc[r] = m.sem.Add(old, rep[r])
-				rep[r] = m.clean
-				if marks[r] != epoch {
-					marks[r] = epoch
-					counts[bf]++
-				}
 			}
 		}
 	}
 
 	m.fnMergeStage = m.step3MergeStage
-
-	//gearbox:steadystate
-	m.fnReduceStage = func() {
-		m.runStep6Reduce()
-		m.reduceWG.Done()
-	}
 
 	//gearbox:steadystate
 	m.fnStep5 = func(w, k int) {

@@ -1,6 +1,7 @@
 package gearbox
 
 import (
+	"math"
 	"slices"
 
 	"gearbox/internal/mem"
@@ -20,11 +21,10 @@ import (
 // pool. Everything an SPU would push into shared state (dispatcher pairs,
 // logic-layer contributions, network sends, event counters) is buffered
 // per SPU or per worker during the parallel phase and folded after the
-// barrier. The fold itself is sharded by *destination* (receive buffer,
-// accumulator slot, owner shard): each destination is owned by exactly one
-// worker, which scans the per-SPU buffers in ascending SPU order, so every
-// destination sees the exact serial receive/fold order and the results stay
-// bit-identical to the Workers=1 path. DESIGN.md "Execution model" documents
+// barrier in ascending source SPU order, so every destination sees the
+// exact serial receive/fold order and the results stay bit-identical to the
+// Workers=1 path. Only the dispatcher-pair fold runs on the pool, sharded by
+// destination receive buffer; the logic-layer folds are serial passes. DESIGN.md "Execution model" documents
 // the rules. The worker bodies themselves are bound once at New (see
 // scratch.go) so the steady-state hot path allocates nothing.
 
@@ -259,8 +259,8 @@ func (m *Machine) step3SPUBody(w, k int) {
 // remote accumulation.
 //
 // The per-SPU loops run on the worker pool; each SPU buffers its dispatcher
-// pairs and logic-layer contributions in m.emit[k], and the merge below the
-// barrier folds them sharded by destination.
+// pairs and logic-layer contributions in m.emit[k], and the ordered merge
+// below the barrier folds them.
 //
 //gearbox:steadystate
 func (m *Machine) step3LocalAccumulations(f *Frontier, st *IterStats) {
@@ -273,28 +273,16 @@ func (m *Machine) step3LocalAccumulations(f *Frontier, st *IterStats) {
 	for i := range scr.s3PW {
 		scr.s3PW[i] = step3Counters{}
 	}
-	// Merge scratch resets before any compute: in the pipelined path merges
-	// of early chunks run concurrently with later compute regions.
-	for i := range scr.mergePW {
-		c := &scr.mergePW[i]
-		for j := range c.perBank {
-			c.perBank[j] = 0
-		}
-		c.cleanHits = 0
-		c.logicDirty = c.logicDirty[:0]
-	}
+	// Reset before any compute: in the pipelined path merges of early
+	// chunks run concurrently with later compute regions.
+	m.mergeCleanHits = 0
 
 	// Software-pipelined compute + ordered merge (pipeline.go). Compute is
-	// shard-private per SPU; the merge is sharded by destination — every
-	// mutable target (a receive buffer, a logic-accumulator slot, an owner's
-	// output shard) belongs to exactly one guided block, and every merge
-	// pass scans its chunk's sources in ascending SPU order, so
-	// per-destination receive order and per-slot float fold order are
-	// exactly the serial merge's at any chunk width. Worker-private counters
-	// (per-bank pair counts, clean hits, newly-dirty logic slots) reduce
-	// after the drain: integers are order-insensitive, and the logic dirty
-	// list is sorted and deduped in step 6 before anything observable reads
-	// it.
+	// shard-private per SPU. The pair merge is sharded by destination
+	// receive buffer, each owned by exactly one guided block; the logic
+	// merge is one serial pass. Every merge pass scans its chunk's sources
+	// in ascending SPU order, so per-destination receive order and per-slot
+	// float fold order are exactly the serial merge's at any chunk width.
 	nSPU := m.plan.NumSPUs
 	nc := (nSPU + m.chunkSPUs - 1) / m.chunkSPUs
 	if m.pool.Workers() == 1 || nc == 1 {
@@ -333,28 +321,22 @@ func (m *Machine) step3LocalAccumulations(f *Frontier, st *IterStats) {
 		st.ProcessedNNZ += c.processedNNZ
 	}
 
+	st.CleanHits += m.mergeCleanHits
+
+	// Serial tail: network sends and logic-layer traffic fold in ascending
+	// SPU order, keeping link occupancy order worker-independent. The
+	// per-bank receive counts are the pairs each bank's Dispatcher buffers
+	// now and forwards in step 4, which reuses them.
 	recvPerBank := scr.recvPerBank
 	for i := range recvPerBank {
 		recvPerBank[i] = 0
 	}
-	for i := range scr.mergePW {
-		c := &scr.mergePW[i]
-		for j, n := range c.perBank {
-			recvPerBank[j] += n
-		}
-		st.CleanHits += c.cleanHits
-		m.logicDirty = append(m.logicDirty, c.logicDirty...) //gearbox:alloc-ok recycled dirty list; grows to its high-water mark
-		// Truncate so the step 6 replica reduction can reuse the buffers.
-		c.logicDirty = c.logicDirty[:0]
-	}
-
-	// Serial tail: network sends and logic-layer traffic fold in ascending
-	// SPU order, keeping link occupancy order worker-independent.
 	logicPairsPerVault := scr.logicPairsPerVault
 	for i := range logicPairsPerVault {
 		logicPairsPerVault[i] = 0
 	}
 	for k := 0; k < m.plan.NumSPUs; k++ {
+		recvPerBank[m.bankOf[k]] += int64(len(m.recvIdx[k]))
 		e := &m.emit[k]
 		srcID := m.plan.SPUIDOf(k)
 		if e.sentPairs > 0 {
@@ -424,24 +406,16 @@ func (m *Machine) step4Dispatching(st *IterStats) {
 	s := &st.Steps[3]
 	s.StallRounds = 1
 
-	bankPairs := m.scr.bankPairs
-	for i := range bankPairs {
-		bankPairs[i] = 0
-	}
 	var ev Events
 	for k := 0; k < m.plan.NumSPUs; k++ {
-		n := int64(len(m.recvIdx[k]))
-		if n == 0 {
-			continue
+		if n := int64(len(m.recvIdx[k])); n > 0 {
+			m.net.SendSPUToSPU(m.plan.DispatcherOf(k), m.plan.SPUIDOf(k), n)
 		}
-		id := m.plan.SPUIDOf(k)
-		bankPairs[m.bankOf[k]] += n
-		m.net.SendSPUToSPU(m.plan.DispatcherOf(k), id, n)
 	}
 	pairsPerRow := int64(m.cfg.Geo.WordsPerRow() / 2)
 	dispBusy := 0.0
 	rounds := 1
-	for _, n := range bankPairs {
+	for _, n := range m.scr.recvPerBank {
 		rows := (n + pairsPerRow - 1) / pairsPerRow
 		ev.DispatchInstrs += rows * m.instrCosts.dispatchPerRow
 		ev.SeqRowActs += rows
@@ -526,36 +500,58 @@ func (m *Machine) step6EmitBody(w, k int) {
 	c.frontierOut += n
 }
 
-// step6ReduceTail is the serial fold after the parallel V3 replica
-// reduction: network sends in ascending SPU then ascending bank order
-// (identical to the serial reduction's send sequence), the per-worker
-// newly-dirty logic slots into m.logicDirty, and the per-worker distinct-
-// slot counts into the per-bank totals that drive the Dispatcher/TSV
-// traffic.
+// reduceReplicas is the V3 replica reduction (Fig. 7b), one ordered pass
+// over SPUs ascending, then each SPU's dirty slots in emission order, so
+// every slot's float fold order is fixed. The reduction is hierarchical:
+// each SPU sends its dirty replica slots to the bank's Dispatcher over the
+// line interconnect, the Dispatcher combines same-slot partials, and only
+// the bank-level partials cross the TSVs — without this the replicated
+// scheme would push SPUs x slots pairs at the logic layer and lose its
+// advantage. A bank's distinct-slot set is epoch-stamped in slotMark: a
+// bank's SPUs are contiguous in flat order, so one epoch bump per bank
+// visited separates the banks, and the marks recycle across iterations
+// without a clear.
 //
 //gearbox:steadystate
-func (m *Machine) step6ReduceTail(ev *Events, logicPerVault []float64) {
+func (m *Machine) reduceReplicas(ev *Events) {
 	scr := &m.scr
-	pairsPerRow := int64(m.cfg.Geo.WordsPerRow() / 2)
+	for i := range scr.bankSlotCount {
+		scr.bankSlotCount[i] = 0
+	}
+	marks := scr.slotMark
+	bank := int32(-1)
 	for k := 0; k < m.plan.NumSPUs; k++ {
-		n := int64(len(m.dirtyLong[k]))
-		if n == 0 {
+		dl := m.dirtyLong[k]
+		if len(dl) == 0 {
 			continue
 		}
+		if m.bankOf[k] != bank {
+			bank = m.bankOf[k]
+			if scr.epoch == math.MaxInt32 { // int32 wrap: reset marks, restart epochs
+				clear(marks)
+				scr.epoch = 0
+			}
+			scr.epoch++
+		}
+		rep := m.replicas[k]
+		for _, r := range dl {
+			old := m.logicAcc[r]
+			if m.sem.IsZero(old) {
+				m.logicDirtyAdd(r)
+			}
+			m.logicAcc[r] = m.sem.Add(old, rep[r])
+			rep[r] = m.clean
+			if marks[r] != scr.epoch {
+				marks[r] = scr.epoch
+				scr.bankSlotCount[bank]++
+			}
+		}
 		// Line traffic SPU -> Dispatcher.
+		n := int64(len(dl))
 		m.net.SendSPUToSPU(m.plan.SPUIDOf(k), m.plan.DispatcherOf(k), n)
 		ev.SPUInstrs += n * 2 // read replica slot + send
 	}
-	for i := range scr.mergePW {
-		c := &scr.mergePW[i]
-		m.logicDirty = append(m.logicDirty, c.logicDirty...) //gearbox:alloc-ok recycled dirty list; grows to its high-water mark
-		c.logicDirty = c.logicDirty[:0]
-	}
-	for _, counts := range scr.redPW {
-		for bf, n := range counts {
-			scr.bankSlotCount[bf] += n
-		}
-	}
+	pairsPerRow := int64(m.cfg.Geo.WordsPerRow() / 2)
 	for bf, n := range scr.bankSlotCount {
 		if n == 0 {
 			continue
@@ -564,7 +560,7 @@ func (m *Machine) step6ReduceTail(ev *Events, logicPerVault []float64) {
 		m.net.SendToLogic(id, n)
 		rows := (n + pairsPerRow - 1) / pairsPerRow
 		ev.DispatchInstrs += rows * m.instrCosts.dispatchPerRow
-		logicPerVault[m.cfg.Geo.VaultOf(id.Bank)] += float64(n) * m.instrCosts.logicOpNsPerPair
+		scr.logicPerVault[m.cfg.Geo.VaultOf(id.Bank)] += float64(n) * m.instrCosts.logicOpNsPerPair
 		ev.LogicOps += 2 * n
 	}
 }
@@ -574,11 +570,7 @@ func (m *Machine) step6ReduceTail(ev *Events, logicPerVault []float64) {
 // newly non-clean slots, and resets the output vector to clean indicators
 // (§5 Step 6). The dense apply and the frontier emission shard across the
 // worker pool (each SPU owns its output range and dirty list); the V3
-// replica reduction shards by logic-accumulator slot (runStep6Reduce), each
-// slot folding SPUs in ascending order so its float sums stay bit-stable,
-// and — when no dense apply is pending — overlaps the frontier emission,
-// whose state (short output shards, dirty lists, frontier buckets) is
-// disjoint from the long region the reduction touches.
+// replica reduction runs first, as one ordered pass (reduceReplicas).
 //
 //gearbox:steadystate
 func (m *Machine) step6Applying(opts IterateOptions, st *IterStats) *Frontier {
@@ -592,43 +584,10 @@ func (m *Machine) step6Applying(opts IterateOptions, st *IterStats) *Frontier {
 		logicPerVault[i] = 0
 	}
 
-	// V3: reduce per-SPU replicas into the logic layer (Fig. 7b). The
-	// reduction is hierarchical: each SPU sends its dirty replica slots to
-	// the bank's Dispatcher over the line interconnect, the Dispatcher
-	// combines same-slot partials, and only the bank-level partials cross
-	// the TSVs — without this the replicated scheme would push
-	// SPUs x slots pairs at the logic layer and lose its advantage.
-	// The per-bank distinct-slot sets are epoch-stamped flat arrays indexed
-	// by slot and walked in index order, not maps: map iteration order is
-	// randomized per run, and the marks recycle across iterations with a
-	// single epoch bump instead of a clear.
-	reduce := m.replicate && m.plan.LastLong >= 0
-	if reduce {
-		scr.epoch++
-		if scr.epoch <= 0 { // int32 wrap: reset marks, restart epochs
-			for _, marks := range scr.bankSlotMark {
-				for i := range marks {
-					marks[i] = 0
-				}
-			}
-			scr.epoch = 1
-		}
-		for i := range scr.bankSlotCount {
-			scr.bankSlotCount[i] = 0
-		}
-		for _, counts := range scr.redPW {
-			for i := range counts {
-				counts[i] = 0
-			}
-		}
-	}
-	// With no dense apply pending the reduction can overlap the frontier
-	// emission below (disjoint state); with an apply it must retire first,
-	// because the apply folds into the same logic accumulator.
-	overlap := reduce && opts.Apply == nil && m.pool.Workers() > 1
-	if reduce && !overlap {
-		m.runStep6Reduce()
-		m.step6ReduceTail(&ev, logicPerVault)
+	// V3: reduce per-SPU replicas into the logic layer before the apply,
+	// which folds into the same accumulator.
+	if m.replicate && m.plan.LastLong >= 0 {
+		m.reduceReplicas(&ev)
 	}
 
 	// Optional Applying op over the whole vector, sharded by output range.
@@ -655,23 +614,13 @@ func (m *Machine) step6Applying(opts IterateOptions, st *IterStats) *Frontier {
 	}
 
 	// Emit the next frontier and reset output slots to clean. Each SPU
-	// sorts its own dirty list and writes its own frontier bucket; in the
-	// overlapped path the V3 replica reduction runs concurrently on its own
-	// stage goroutine.
+	// sorts its own dirty list and writes its own frontier bucket.
 	m.curNext = m.getFrontier()
 	next := m.curNext
 	for i := range scr.emitPW {
 		scr.emitPW[i] = emitCounters{}
 	}
-	if overlap {
-		m.reduceWG.Add(1)
-		go m.fnReduceStage() //gearbox:alloc-ok one reduce-stage goroutine spawn per iteration; bounded, not per-entry
-	}
 	m.pool.ForEachDynamic("step6-emit", m.plan.NumSPUs, 0, m.fnEmit)
-	if overlap {
-		m.reduceWG.Wait()
-		m.step6ReduceTail(&ev, logicPerVault)
-	}
 	for i := range scr.emitPW {
 		ev.Add(scr.emitPW[i].ev)
 		st.FrontierOut += scr.emitPW[i].frontierOut
